@@ -211,7 +211,7 @@ main(int argc, char **argv)
     MemoryBudget budget(1u << 30);
     EngineConfig chaos_config = BaseConfig(sizes);
     chaos_config.fault_injector = &injector;
-    chaos_config.update_queue_cap = 1;  // fan-in is n_gpus batches: 4x
+    chaos_config.staging_capacity = 1;  // fan-in is n_gpus batches: 4x
     chaos_config.memory_budget = &budget;
     chaos_config.memory_poll_ms = 1;
     const Step squeeze_step = static_cast<Step>(sizes.steps / 3);

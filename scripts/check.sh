@@ -31,6 +31,49 @@ failures=0
 note()  { printf '\n== %s ==\n' "$*"; }
 skip()  { printf -- '-- skipped: %s\n' "$*"; }
 
+# Warn-only diff of a fresh bench JSON against its committed baseline:
+#   bench_diff NAME BASELINE FRESH
+# Flags vanished metrics, new metrics, unit changes and any metric that
+# fell more than 10x below the baseline. Absolute numbers vary by host
+# and smoke sizes are small; the point is to notice a vanished metric or
+# an order-of-magnitude regression, not to gate on machine noise. Never
+# fails the run.
+bench_diff() {
+    python3 - "$@" <<'EOF' || true
+import json
+import sys
+
+name, baseline_path, fresh_path = sys.argv[1:4]
+
+def load(path):
+    with open(path) as fh:
+        return {m["metric"]: m for m in json.load(fh)}
+
+try:
+    baseline = load(baseline_path)
+except OSError:
+    print(f"WARN: no committed {baseline_path} baseline")
+    raise SystemExit(0)
+fresh = load(fresh_path)
+
+for metric in sorted(set(baseline) | set(fresh)):
+    if metric not in fresh:
+        print(f"WARN: metric '{metric}' in baseline but not produced")
+    elif metric not in baseline:
+        print(f"WARN: new metric '{metric}' missing from the baseline")
+    elif baseline[metric]["unit"] != fresh[metric]["unit"]:
+        print(f"WARN: metric '{metric}' changed unit "
+              f"{baseline[metric]['unit']} -> {fresh[metric]['unit']}")
+    else:
+        old, new = baseline[metric]["value"], fresh[metric]["value"]
+        if old > 0 and new < old / 10:
+            print(f"WARN: metric '{metric}' collapsed {old:.3g} -> "
+                  f"{new:.3g} (>10x below baseline; smoke sizes, "
+                  f"but worth a look)")
+print(f"{name} baseline diff done (warnings are non-fatal)")
+EOF
+}
+
 # --- 1. formatting -----------------------------------------------------
 note "clang-format (dry run)"
 if command -v clang-format >/dev/null 2>&1; then
@@ -122,36 +165,7 @@ fi
 # regression, not to gate on machine noise.
 note "bench_hotpath smoke + baseline diff (warn-only)"
 if ./build/bench/bench_hotpath --smoke --out build/BENCH_hotpath.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_hotpath.json")
-except OSError:
-    print("WARN: no committed BENCH_hotpath.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_hotpath.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_hotpath baseline diff done (warnings are non-fatal)")
-EOF
+    bench_diff bench_hotpath BENCH_hotpath.json build/BENCH_hotpath.json
 else
     failures=$((failures + 1))
 fi
@@ -164,36 +178,7 @@ fi
 # The metric diff against the committed BENCH_e2e.json stays warn-only.
 note "bench_e2e_engine smoke + baseline diff (warn-only)"
 if ./build/bench/bench_e2e_engine --smoke --out build/BENCH_e2e.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_e2e.json")
-except OSError:
-    print("WARN: no committed BENCH_e2e.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_e2e.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_e2e_engine baseline diff done (warnings are non-fatal)")
-EOF
+    bench_diff bench_e2e_engine BENCH_e2e.json build/BENCH_e2e.json
 else
     failures=$((failures + 1))
 fi
@@ -206,36 +191,7 @@ fi
 # stays warn-only — smoke sizes make throughput cells noisy by design.
 note "bench_prefetch smoke + baseline diff (warn-only)"
 if ./build/bench/bench_prefetch --smoke --out build/BENCH_prefetch.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_prefetch.json")
-except OSError:
-    print("WARN: no committed BENCH_prefetch.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_prefetch.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_prefetch baseline diff done (warnings are non-fatal)")
-EOF
+    bench_diff bench_prefetch BENCH_prefetch.json build/BENCH_prefetch.json
 else
     failures=$((failures + 1))
 fi
@@ -251,36 +207,8 @@ fi
 note "bench_cache_policy smoke + baseline diff (warn-only)"
 if ./build/bench/bench_cache_policy --smoke \
         --out build/BENCH_cache_policy.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_cache_policy.json")
-except OSError:
-    print("WARN: no committed BENCH_cache_policy.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_cache_policy.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_cache_policy baseline diff done (warnings are non-fatal)")
-EOF
+    bench_diff bench_cache_policy BENCH_cache_policy.json \
+        build/BENCH_cache_policy.json
 else
     failures=$((failures + 1))
 fi

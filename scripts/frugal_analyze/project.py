@@ -74,7 +74,10 @@ LOCK_RANKS: Dict[str, int] = {
 # ---------------------------------------------------------------------------
 
 HOT_FUNCTIONS = (
-    # FrugalEngine flush data plane (lambdas in frugal_engine.cc)
+    # FrugalEngine flush data plane (lambdas in frugal_engine.cc):
+    # apply_claims is the one claim-application routine the flushers,
+    # the cooperative trainer flush and the watchdog reclaim share.
+    "apply_claims",
     "flush_entry_run",
     "refresh_cache",
     # Two-level PQ dequeue path

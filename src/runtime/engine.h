@@ -88,39 +88,17 @@ struct EngineConfig
     std::size_t pq_shards = 0;
 
     /**
-     * Apply claimed flushes through the coalesced batch path: sort each
-     * claim batch by key and commit every claimed entry's W set with
-     * one entry-lock hold, one row-lock acquisition and one owner-cache
-     * refresh per entry run (FrugalEngine only). Also enables
-     * *cooperative flushing*: a gate-blocked trainer claims the entries
-     * blocking its own gate (DequeueClaimBelow, priority <= its step)
-     * and applies them inline instead of paying a flusher wakeup round
-     * trip per step, while idle flush threads nap off the gate CV and
-     * sweep later-step/deferred backlog. `false` restores the per-ticket
-     * legacy shape (one FlushClaimed per ticket, per-record row locking,
-     * flusher-only application, yield-spin backoff) — kept selectable so
-     * bench_e2e_engine can measure the overhaul against the exact
-     * pre-overhaul control plane. Either shape trains bit-identically;
-     * DESIGN.md §9 has the argument.
+     * Update staging queue bound, in per-(step, GPU) batches (each batch
+     * carries one trace GPU's whole step of gradients). The default is
+     * large enough that trainers never block. A small bound applies
+     * *backpressure* (FrugalEngine): a trainer whose push finds the
+     * queue full throttles (timed PushFor loop, counted per trainer in
+     * RunReport::overload) until the flush tier catches up — a slow
+     * flush tier slows trainers down instead of growing RSS without
+     * limit. Liveness is preserved because the drainer keeps draining
+     * regardless of the bound.
      */
-    bool coalesced_flush = true;
-
-    /** Update staging queue capacity, in per-(step, GPU) batches (each
-     *  batch carries one trace GPU's whole step of gradients). */
     std::size_t staging_capacity = 1 << 15;
-
-    /**
-     * Backpressure bound on the update staging queue, in batches
-     * (FrugalEngine only). 0 = legacy behaviour: the queue is sized by
-     * `staging_capacity`, which is large enough that trainers never
-     * block. Non-zero replaces that size with a hard bound: a trainer
-     * whose push finds the queue full *throttles* (timed PushFor loop,
-     * counted per trainer in RunReport::overload) until the flush tier
-     * catches up — a slow flush tier slows trainers down instead of
-     * growing RSS without limit. Liveness is preserved because every
-     * consumer (drainer) keeps draining regardless of the bound.
-     */
-    std::size_t update_queue_cap = 0;
 
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
@@ -238,8 +216,7 @@ struct RunReport
 
     /** Flush lag: staging-to-commit latency of applied update runs
      *  (seconds; 1-in-16 sampled), merged across flush threads and
-     *  cooperative-flush trainer applies. Populated by FrugalEngine's
-     *  coalesced flush path. */
+     *  cooperative-flush trainer applies. Populated by FrugalEngine. */
     Histogram flush_lag;
 
     /** Merged cache counters across GPUs. */

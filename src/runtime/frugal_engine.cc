@@ -81,6 +81,24 @@ struct TrainerLocalStats
 };
 
 /**
+ * 1-in-16 flush-lag sampling for one applying thread: a steady_clock
+ * read plus a log-bucket histogram insert per applied run is measurable
+ * against these micro-second apply times. A null histogram samples
+ * nothing.
+ */
+struct LagSampler
+{
+    Histogram *hist = nullptr;
+    std::size_t tick = 0;
+
+    Histogram *
+    Next()
+    {
+        return hist != nullptr && (tick++ & 0xf) == 0 ? hist : nullptr;
+    }
+};
+
+/**
  * One flush thread's crash-recovery slot. The *claim ledger* mirrors
  * the tickets the thread has dequeued but not yet flushed: claims are
  * invisible to the queue (that is the point of claiming), so without
@@ -133,6 +151,16 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                         << " GPUs, engine has " << n_gpus);
     FRUGAL_CHECK_MSG(trace.key_space() <= config_.key_space,
                      "trace key space exceeds the table");
+    // Each of these would otherwise hang Run() instead of failing.
+    FRUGAL_CHECK_MSG(config_.flush_threads > 0,
+                     "EngineConfig::flush_threads must be > 0: no thread "
+                     "would flush the deferred updates at wind-down");
+    FRUGAL_CHECK_MSG(config_.flush_batch > 0,
+                     "EngineConfig::flush_batch must be > 0: a dequeue "
+                     "of width 0 never claims an entry");
+    FRUGAL_CHECK_MSG(config_.lookahead > 0,
+                     "EngineConfig::lookahead must be > 0: the prefetch "
+                     "frontier could never pass the current step");
 
     FaultInjector *const injector = config_.fault_injector;
     if (injector != nullptr) {
@@ -171,12 +199,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // without a rule for that site see zero behaviour change.
         registry.ArmFaultInjector(injector);
     }
-    // Backpressure bound (update_queue_cap > 0) or the legacy
-    // effectively-unbounded size.
-    const std::size_t staging_cap = config_.update_queue_cap != 0
-                                        ? config_.update_queue_cap
-                                        : config_.staging_capacity;
-    BlockingQueue<UpdateBatch> staging(staging_cap);
+    BlockingQueue<UpdateBatch> staging(config_.staging_capacity);
     std::vector<std::unique_ptr<GpuCache>> caches;
     for (std::uint32_t g = 0; g < n_gpus; ++g) {
         caches.push_back(std::make_unique<GpuCache>(
@@ -723,13 +746,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                              << " attempts; giving up (permanent "
                                 "failure, not transient)");
     };
-    auto apply_update = [&](Key key, const WriteRecord &record) {
-        await_host_write(key);
-        table_->ApplyGradient(key, record.grad.data(), *optimizer_);
-        // updates_applied is bumped once per ticket by the caller (with
-        // the count FlushClaimed returns), not per record here: one
-        // release fetch_add per entry instead of one per update.
-    };
     auto refresh_cache = [&](Key key) {
         // "H2D": copy the committed row into the owner's cache. Also
         // runs on the watchdog thread when reclaiming abandoned claims,
@@ -772,9 +788,10 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
      * the canonical (step, src) order — the take and the applies cannot
      * interleave with a concurrent claim of the same entry's newer
      * writes. Per-record optimizer applications are unchanged, so the
-     * result is bit-identical to the per-ticket path. The caller invokes
-     * OnFlushed per ticket afterwards (not here: a key run may cover
-     * several tickets for the same entry, each retiring its own claim).
+     * result is bit-identical to FlushClaimed's per-record loop. The
+     * caller invokes OnFlushed per ticket afterwards (not here: a key
+     * run may cover several tickets for the same entry, each retiring
+     * its own claim).
      * @return the number of records applied.
      */
     auto flush_entry_run = [&](GEntry &entry,
@@ -796,8 +813,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                               : a.src < b.src;
                   });
         const Key key = entry.key();
-        // Same per-record transient-fault sequence as the per-ticket
-        // path; only the row writes themselves are batched after it.
+        // One transient-fault check per record, as if each were written
+        // on its own; only the row writes themselves are batched.
         // spin-block-ok: deliberate — the retry backoff sleeps under
         // the g-entry lock so a write storm delays only this key (see
         // await_host_write); contention on one entry's lock is rare.
@@ -820,6 +837,60 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         return writes.size();
     };
 
+    /**
+     * The one flush operation (§3.3–3.4), shared by the flush threads,
+     * the gate-blocked trainers (cooperative flushing) and the
+     * watchdog's reclaim of a dead flusher's claims. Groups the claim
+     * batch by key so tickets for the same entry form one contiguous
+     * run, commits each run with flush_entry_run and retires every
+     * ticket in it. A second ticket for the same entry finds the W set
+     * already taken (applied == 0) and only retires its claim. Callers
+     * hand the batch to the auditor *before* this sort, in dequeue
+     * (priority) order.
+     *
+     * `before_run(i)` is asked ahead of the run starting at claims[i];
+     * returning false abandons the batch there, leaving claims[i..]
+     * claimed (a flusher's injected death).
+     * @return false iff `before_run` abandoned the batch.
+     */
+    auto apply_claims = [&](std::vector<ClaimTicket> &claims,
+                            LagSampler &lag, auto &&before_run) -> bool {
+        std::sort(claims.begin(), claims.end(),
+                  [](const ClaimTicket &a, const ClaimTicket &b) {
+                      return a.entry->key() < b.entry->key();
+                  });
+        bool finished = true;
+        std::size_t applied = 0;
+        std::size_t i = 0;
+        while (i < claims.size()) {
+            std::size_t j = i + 1;
+            while (j < claims.size() && claims[j].entry == claims[i].entry)
+                ++j;
+            if (!before_run(i)) {
+                finished = false;
+                break;
+            }
+            if (config_.flush_delay_us > 0) {
+                // Fault injection: a slow host-memory path, per ticket.
+                // retry-exempt: injected delay.
+                std::this_thread::sleep_for(std::chrono::microseconds(
+                    config_.flush_delay_us * static_cast<long>(j - i)));
+            }
+            applied += flush_entry_run(*claims[i].entry, lag.Next());
+            for (std::size_t k = i; k < j; ++k)
+                queue->OnFlushed(claims[k]);
+            i = j;
+        }
+        if (applied > 0) {
+            // release: pairs with the checkpoint barrier's and the
+            // wind-down's acquire loads. A reader observing applied ==
+            // emitted must also observe every row/optimizer write
+            // committed before the increment.
+            updates_applied.fetch_add(applied, std::memory_order_release);
+        }
+        return finished;
+    };
+
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
     for (std::size_t f = 0; f < config_.flush_threads; ++f)
         flusher_slots.push_back(std::make_unique<FlusherSlot>(f));
@@ -828,49 +899,58 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     // a dead slot with the identical loop.
     std::function<void(FlusherSlot *)> flusher_body =
         [&](FlusherSlot *slot) {
-            // Consecutive zero-claim passes before the coalesced shape
-            // stops yielding and parks on the gate CV between rescans.
-            constexpr std::size_t kParkAfterEmptyClaims = 2;
+            // Consecutive zero-claim passes before the backoff stops
+            // yielding and sleeps between rescans.
+            constexpr std::size_t kSleepAfterEmptyClaims = 2;
             std::size_t empty_claims = 0;
-            // Coalesced-shape idle nap; doubles (capped) while the
-            // queue stays dry, resets on a successful claim.
+            // Idle nap; doubles (capped) while the queue stays dry,
+            // resets on a successful claim.
             std::chrono::microseconds idle_sleep{500};
-            // Flush-lag is sampled (1 in 16 runs): a steady_clock read
-            // plus a log-bucket histogram insert per applied run is
-            // measurable against these micro-second apply times.
-            std::size_t lag_tick = 0;
+            LagSampler lag{&slot->lag};
             std::vector<ClaimTicket> claimed;
+            // Injected death mid-batch: vanish with the unflushed tail
+            // claimed[next..] in the ledger. The gate stays blocked
+            // (in-flight counts unretired) until the watchdog reclaims
+            // them.
+            auto survives = [&](std::size_t next) -> bool {
+                if (!FaultPoint(injector, FaultSite::kFlushThreadDeath,
+                                slot->index)
+                         .has_value()) {
+                    return true;
+                }
+                {
+                    SpinGuard guard(slot->lock);
+                    // alloc-ok: shrinks the ledger to a suffix of the
+                    // batch it already holds; capacity suffices.
+                    slot->claimed.assign(claimed.begin() + next,
+                                         claimed.end());
+                }
+                FRUGAL_WARN("fault injection: flush thread "
+                            << slot->index << " dies holding "
+                            << claimed.size() - next << " claim(s)");
+                // relaxed: monotonic stat counter, read after joins.
+                flusher_deaths.fetch_add(1, std::memory_order_relaxed);
+                slot->dead.store(true, std::memory_order_release);
+                slot->busy.store(false, std::memory_order_release);
+                nudge_gate();
+                return false;
+            };
             while (true) {
                 if (queue->SizeApprox() == 0) {
                     if (drain_done.load(std::memory_order_acquire))
                         return;
-                    if (config_.coalesced_flush) {
-                        // Idle, coalesced shape: flat self-wake, off
-                        // the gate CV. The drainer's nudge_gate is a
-                        // notify_all; four flushers parked on it turn
-                        // every drained step into a thundering herd
-                        // whose losers wake, rescan and re-park. The
-                        // gate-blocked trainer now claims its own
-                        // blockers (cooperative flush), so an idle
-                        // flusher only needs to wake often enough to
-                        // absorb later-step and deferred backlog.
-                        // retry-exempt: idle self-wake, not a retry.
-                        std::this_thread::sleep_for(idle_sleep);
-                        idle_sleep =
-                            std::min(idle_sleep * 2,
-                                     std::chrono::microseconds(4000));
-                    } else {
-                        // Idle: block until the drainer publishes new
-                        // work (or winds down) instead of burning the
-                        // timeslice.
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        gate_cv.wait_for(
-                            lock, std::chrono::microseconds(500), [&] {
-                                return queue->SizeApprox() > 0 ||
-                                       drain_done.load(
-                                           std::memory_order_acquire);
-                            });
-                    }
+                    // Idle: flat self-wake, off the gate CV. The
+                    // drainer's nudge_gate is a notify_all; four
+                    // flushers parked on it turn every drained step into
+                    // a thundering herd whose losers wake, rescan and
+                    // re-park. The gate-blocked trainer claims its own
+                    // blockers (cooperative flush), so an idle flusher
+                    // only needs to wake often enough to absorb
+                    // later-step and deferred backlog.
+                    // retry-exempt: idle self-wake, not a retry.
+                    std::this_thread::sleep_for(idle_sleep);
+                    idle_sleep = std::min(idle_sleep * 2,
+                                          std::chrono::microseconds(4000));
                     continue;
                 }
                 // The scan floor relies on the gate's invariant that
@@ -893,31 +973,22 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                             std::memory_order_relaxed),
                                         slot->index) == 0) {
                     // Entries exist but are momentarily unclaimable
-                    // (mid-publish or taken by a peer); back off briefly.
+                    // (mid-publish or taken by a peer). Two-stage
+                    // backoff: yield while the pipeline is merely
+                    // between batches, then a flat sleep after a streak
+                    // of empty claims. Everything visible is in flight on
+                    // a peer — or on a gate-blocked trainer, which
+                    // self-claims in the cooperative-flush path — so
+                    // rescanning in-flight entries only burns timeslices
+                    // the applying threads need.
                     slot->busy.store(false, std::memory_order_release);
-                    if (config_.coalesced_flush) {
-                        // Two-stage backoff: yield while the pipeline
-                        // is merely between batches, then a flat sleep
-                        // after a streak of empty claims. Everything
-                        // visible is in flight on a peer — or on a
-                        // gate-blocked trainer, which self-claims in
-                        // the cooperative-flush path and must not have
-                        // to outrace a CV-parked flusher for the work
-                        // it is waiting on — so rescanning in-flight
-                        // entries only burns timeslices the applying
-                        // threads need. The legacy shape keeps the
-                        // bare yield so bench_e2e_engine measures the
-                        // pre-overhaul loop faithfully.
-                        if (++empty_claims < kParkAfterEmptyClaims) {
-                            std::this_thread::yield();
-                        } else {
-                            // retry-exempt: contention backoff while
-                            // peers hold the claims, not a retry.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(200));
-                        }
-                    } else {
+                    if (++empty_claims < kSleepAfterEmptyClaims) {
                         std::this_thread::yield();
+                    } else {
+                        // retry-exempt: contention backoff while peers
+                        // hold the claims, not a retry.
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(200));
                     }
                     continue;
                 }
@@ -940,123 +1011,11 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     slot->claimed.insert(slot->claimed.end(),
                                          claimed.begin(), claimed.end());
                 }
-                auto injected_death = [&]() -> bool {
-                    if (!FaultPoint(injector,
-                                    FaultSite::kFlushThreadDeath,
-                                    slot->index)
-                             .has_value()) {
-                        return false;
-                    }
-                    // Injected death mid-claim: vanish with the
-                    // unflushed tail still in the ledger. The gate
-                    // stays blocked (in-flight counts unretired)
-                    // until the watchdog reclaims them.
-                    std::size_t orphaned = 0;
-                    {
-                        SpinGuard guard(slot->lock);
-                        orphaned = slot->claimed.size();
-                    }
-                    FRUGAL_WARN("fault injection: flush thread "
-                                << slot->index << " dies holding "
-                                << orphaned << " claim(s)");
-                    // relaxed: monotonic stat counter, read after
-                    // joins.
-                    flusher_deaths.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    slot->dead.store(true, std::memory_order_release);
-                    slot->busy.store(false, std::memory_order_release);
-                    nudge_gate();
-                    return true;
-                };
-                auto erase_from_ledger = [&](const ClaimTicket &ticket) {
-                    for (auto it = slot->claimed.begin();
-                         it != slot->claimed.end(); ++it) {
-                        if (it->entry == ticket.entry &&
-                            it->priority == ticket.priority) {
-                            slot->claimed.erase(it);
-                            return;
-                        }
-                    }
-                };
-                if (config_.coalesced_flush) {
-                    // Coalesced application: group the batch by key so
-                    // tickets for the same entry form one contiguous
-                    // run, then commit each run with one entry-lock
-                    // hold, one row-lock acquisition and one owner
-                    // cache refresh. Sorting happens *after* the
-                    // auditor saw the batch in dequeue (priority)
-                    // order.
-                    std::sort(claimed.begin(), claimed.end(),
-                              [](const ClaimTicket &a,
-                                 const ClaimTicket &b) {
-                                  return a.entry->key() < b.entry->key();
-                              });
-                    std::size_t i = 0;
-                    while (i < claimed.size()) {
-                        std::size_t j = i + 1;
-                        while (j < claimed.size() &&
-                               claimed[j].entry == claimed[i].entry)
-                            ++j;
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path
-                            // (per ticket, as in the per-ticket shape).
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us *
-                                    static_cast<long>(j - i)));
-                        }
-                        // A second ticket for the same entry finds the
-                        // W set already taken (applied == 0) and just
-                        // retires its claim — same as the per-ticket
-                        // path's zombie handling.
-                        const std::size_t applied = flush_entry_run(
-                            *claimed[i].entry,
-                            (lag_tick++ & 0xf) == 0 ? &slot->lag
-                                                    : nullptr);
-                        for (std::size_t k = i; k < j; ++k)
-                            queue->OnFlushed(claimed[k]);
-                        if (applied > 0) {
-                            // release: pairs with the checkpoint
-                            // barrier's acquire load. A reader
-                            // observing applied == emitted must also
-                            // observe every row/optimizer write
-                            // committed before the increment.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            for (std::size_t k = i; k < j; ++k)
-                                erase_from_ledger(claimed[k]);
-                        }
-                        i = j;
-                    }
-                } else {
-                    for (const ClaimTicket &ticket : claimed) {
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path.
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us));
-                        }
-                        const std::size_t applied = FlushClaimed(
-                            *queue, ticket, apply_update, refresh_cache);
-                        if (applied > 0) {
-                            // release: see the coalesced counterpart.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            erase_from_ledger(ticket);
-                        }
-                    }
+                if (!apply_claims(claimed, lag, survives))
+                    return;
+                {
+                    SpinGuard guard(slot->lock);
+                    slot->claimed.clear();
                 }
                 slot->busy.store(false, std::memory_order_release);
                 nudge_gate();
@@ -1128,25 +1087,19 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     SpinGuard guard(slot->lock);
                     abandoned.swap(slot->claimed);
                 }
-                // Reclaim each abandoned ticket: apply its entry's
-                // pending writes and retire the in-flight count. If a
+                // Reclaim the abandoned tickets: apply their entries'
+                // pending writes and retire the in-flight counts. If a
                 // live flusher already took the writes through the
                 // zombie re-enqueue path, the W set is empty and the
-                // call just retires the claim — both outcomes keep the
+                // ticket is just retired — both outcomes keep the
                 // per-key canonical order, because W records only ever
                 // leave an entry through a sorted take.
-                for (const ClaimTicket &ticket : abandoned) {
-                    const std::size_t applied = FlushClaimed(
-                        *queue, ticket, apply_update, refresh_cache);
-                    if (applied > 0) {
-                        // release: see the flusher-loop counterpart.
-                        updates_applied.fetch_add(
-                            applied, std::memory_order_release);
-                    }
-                    // relaxed: monotonic stat counter, reporting only.
-                    claims_reclaimed.fetch_add(1,
-                                               std::memory_order_relaxed);
-                }
+                LagSampler unsampled;
+                apply_claims(abandoned, unsampled,
+                             [](std::size_t) { return true; });
+                // relaxed: monotonic stat counter, reporting only.
+                claims_reclaimed.fetch_add(abandoned.size(),
+                                           std::memory_order_relaxed);
                 slot->dead.store(false, std::memory_order_release);
                 slot->thread = std::thread(flusher_body, slot.get());
                 // relaxed: monotonic stat counter, reporting only.
@@ -1163,7 +1116,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         auto diagnose = [&]() -> std::string {
             std::ostringstream out;
             out << queue->DebugDump();
-            out << "staging " << staging.size() << "/" << staging_cap
+            out << "staging " << staging.size() << "/"
+                << config_.staging_capacity
                 << " batch(es), drained through step "
                 << drained_steps.load(std::memory_order_acquire)
                 << ", prefetch frontier "
@@ -1324,9 +1278,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             std::vector<std::size_t> owned_miss;
             std::vector<Step> owned_hint;
             // Claim buffer for cooperative flushing at the gate, plus
-            // the same 1-in-16 lag sampling the flushers use.
+            // the same lag sampling the flushers use.
             std::vector<ClaimTicket> assist;
-            std::size_t lag_tick = 0;
+            LagSampler lag{&*trainer_lag[t]};
             // Simulated-PCIe debt for demand gathers, amortized into
             // sleep quanta (EngineConfig::host_gather_ns).
             std::uint64_t gather_debt_ns = 0;
@@ -1351,121 +1305,68 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 const auto wait_start = std::chrono::steady_clock::now();
                 if (!gate_open()) {
                     ++local.gate_waits;
-                    if (config_.coalesced_flush) {
-                        // Cooperative flushing: the gate is blocked
-                        // until the pending entries at or below s are
-                        // applied, so apply them *here* instead of
-                        // parking and paying two context switches
-                        // (wake a flusher, then get woken back) per
-                        // step on the critical path. The claim
-                        // protocol makes this safe — whoever wins the
-                        // claim owns the flush — and flush_entry_run
-                        // keeps the per-key order canonical no matter
-                        // who applies. Claims are batched and grouped
-                        // exactly like the flusher loop; the trainer
-                        // cannot die mid-assist (trainer death fires
-                        // at step boundaries), so no claim ledger is
-                        // needed.
-                        // Fruitless passes before escalating from
-                        // yield to a timed CV park.
-                        constexpr std::size_t kAssistYields = 32;
-                        std::size_t idle_passes = 0;
-                        while (!gate_open()) {
-                            const Step floor = current_step.load(
-                                std::memory_order_acquire);
-                            queue->SetScanBounds(
-                                floor, prefetch_frontier.load(
-                                           std::memory_order_acquire));
-                            assist.clear();
-                            // Bounded claim: only the entries blocking
-                            // *this* gate (priority <= s). Later-step
-                            // and deferred entries stay enqueued so
-                            // their writes keep coalescing for the
-                            // flush threads.
-                            if (queue->DequeueClaimBelow(
-                                    assist,
-                                    // relaxed: degradation knob.
-                                    effective_flush_batch.load(
-                                        std::memory_order_relaxed),
-                                    t, s) == 0) {
-                                // Nothing claimable: the gate waits on
-                                // the prefetcher/drainer, or the work
-                                // is in flight on a flusher. Yield
-                                // first — on a machine with fewer
-                                // cores than threads that hands the
-                                // timeslice straight to whichever
-                                // thread the gate is waiting for,
-                                // without a futex round trip — and
-                                // only park on the CV after a streak
-                                // of fruitless passes.
-                                if (++idle_passes < kAssistYields) {
-                                    std::this_thread::yield();
-                                } else {
-                                    std::unique_lock<std::mutex> lock(
-                                        gate_mutex);
-                                    gate_cv.wait_for(
-                                        lock,
-                                        std::chrono::microseconds(200),
-                                        gate_open);
-                                }
-                                continue;
+                    // Cooperative flushing: the gate is blocked until the
+                    // pending entries at or below s are applied, so apply
+                    // them *here* instead of parking and paying two context
+                    // switches (wake a flusher, then get woken back) per step
+                    // on the critical path. The claim protocol makes this
+                    // safe — whoever wins the claim owns the flush — and
+                    // apply_claims keeps the per-key order canonical no
+                    // matter who applies. The trainer cannot die mid-assist
+                    // (trainer death fires at step boundaries), so no claim
+                    // ledger is needed.
+                    // Fruitless passes before escalating from yield to a
+                    // timed CV park.
+                    constexpr std::size_t kAssistYields = 32;
+                    std::size_t idle_passes = 0;
+                    while (!gate_open()) {
+                        const Step floor =
+                            current_step.load(std::memory_order_acquire);
+                        queue->SetScanBounds(
+                            floor,
+                            prefetch_frontier.load(std::memory_order_acquire));
+                        assist.clear();
+                        // Bounded claim: only the entries blocking *this*
+                        // gate (priority <= s). Later-step and deferred
+                        // entries stay enqueued so their writes keep
+                        // coalescing for the flush threads.
+                        if (queue->DequeueClaimBelow(
+                                assist,
+                                // relaxed: degradation knob.
+                                effective_flush_batch.load(
+                                    std::memory_order_relaxed),
+                                t, s) == 0) {
+                            // Nothing claimable: the gate waits on the
+                            // prefetcher/drainer, or the work is in flight
+                            // on a flusher. Yield first — on a machine with
+                            // fewer cores than threads that hands the
+                            // timeslice straight to whichever thread the gate
+                            // is waiting for, without a futex round trip —
+                            // and only park on the CV after a streak of
+                            // fruitless passes. The timed park also bounds
+                            // any wakeup a recovery action (flusher respawn,
+                            // claim reclaim) may lose to one period.
+                            if (++idle_passes < kAssistYields) {
+                                std::this_thread::yield();
+                            } else {
+                                std::unique_lock<std::mutex> lock(gate_mutex);
+                                gate_cv.wait_for(
+                                    lock, std::chrono::microseconds(200),
+                                    gate_open);
                             }
-                            idle_passes = 0;
+                            continue;
+                        }
+                        idle_passes = 0;
 #if FRUGAL_DCHECK_ENABLED
-                            if (auditor_armed)
-                                auditor.OnClaimBatch(assist, floor);
+                        if (auditor_armed)
+                            auditor.OnClaimBatch(assist, floor);
 #endif
-                            // relaxed: monotonic stat counter.
-                            entry_claims.fetch_add(
-                                assist.size(),
-                                std::memory_order_relaxed);
-                            std::sort(assist.begin(), assist.end(),
-                                      [](const ClaimTicket &a,
-                                         const ClaimTicket &b) {
-                                          return a.entry->key() <
-                                                 b.entry->key();
-                                      });
-                            std::size_t i = 0;
-                            while (i < assist.size()) {
-                                std::size_t j = i + 1;
-                                while (j < assist.size() &&
-                                       assist[j].entry ==
-                                           assist[i].entry)
-                                    ++j;
-                                if (config_.flush_delay_us > 0) {
-                                    // retry-exempt: injected delay.
-                                    std::this_thread::sleep_for(
-                                        std::chrono::microseconds(
-                                            config_.flush_delay_us *
-                                            static_cast<long>(j - i)));
-                                }
-                                const std::size_t applied =
-                                    flush_entry_run(
-                                        *assist[i].entry,
-                                        (lag_tick++ & 0xf) == 0
-                                            ? &*trainer_lag[t]
-                                            : nullptr);
-                                for (std::size_t k = i; k < j; ++k)
-                                    queue->OnFlushed(assist[k]);
-                                if (applied > 0) {
-                                    updates_applied.fetch_add(
-                                        applied,
-                                        std::memory_order_release);
-                                }
-                                i = j;
-                            }
-                            nudge_gate();
-                        }
-                    } else {
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        // Timed re-check: a recovery action (flusher
-                        // respawn, claim reclaim) may race a notify;
-                        // the deadline bounds any lost wakeup to one
-                        // period.
-                        while (!gate_cv.wait_for(
-                            lock, std::chrono::milliseconds(50),
-                            gate_open)) {
-                        }
+                        // relaxed: monotonic stat counter.
+                        entry_claims.fetch_add(assist.size(),
+                                               std::memory_order_relaxed);
+                        apply_claims(assist, lag,
+                                     [](std::size_t) { return true; });
+                        nudge_gate();
                     }
                 }
                 const auto wait_end = std::chrono::steady_clock::now();

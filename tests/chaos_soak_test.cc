@@ -175,7 +175,7 @@ TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
 
     EngineConfig config = SoakConfig();
     config.fault_injector = &injector;
-    config.update_queue_cap = 1;  // below the per-step batch fan-in
+    config.staging_capacity = 1;  // below the per-step batch fan-in
     config.flush_delay_us = 2;
 
     Rng rng(42);

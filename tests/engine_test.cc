@@ -243,11 +243,12 @@ TEST(EngineTest, RerunAfterResetIsReproducible)
     EXPECT_TRUE(TablesBitEqual(engine->table(), snapshot));
 }
 
-TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
+TEST(EngineTest, ShardedAndUnshardedQueuesMatchOracleBitForBit)
 {
-    // The pre-overhaul control plane (unsharded PQ, per-ticket flush
-    // application) stays selectable as the benchmark control; both
-    // shapes must train to exactly the same parameters.
+    // The one flush path (coalesced application plus cooperative
+    // trainer flushing) must train to the oracle's exact parameters
+    // over both PQ layouts: one dequeue shard per flusher (the default)
+    // and the unsharded layout.
     EngineConfig config;
     config.n_gpus = 2;
     config.dim = 8;
@@ -260,24 +261,20 @@ TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
     const Trace trace = Trace::Synthetic(dist, rng, 50, 2, 16);
     const GradFn task = MakeLinearGradTask();
 
-    EngineConfig legacy = config;
-    legacy.pq_shards = 1;
-    legacy.coalesced_flush = false;
+    EngineConfig unsharded = config;
+    unsharded.pq_shards = 1;
 
-    auto coalesced_engine = MakeEngine("frugal", config);
-    auto legacy_engine = MakeEngine("frugal", legacy);
-    const RunReport coalesced_report = coalesced_engine->Run(trace, task);
-    const RunReport legacy_report = legacy_engine->Run(trace, task);
+    auto sharded_engine = MakeEngine("frugal", config);
+    auto unsharded_engine = MakeEngine("frugal", unsharded);
+    const RunReport sharded_report = sharded_engine->Run(trace, task);
+    const RunReport unsharded_report = unsharded_engine->Run(trace, task);
 
-    EXPECT_EQ(coalesced_report.audit_violations, 0u);
-    EXPECT_EQ(legacy_report.audit_violations, 0u);
-    EXPECT_EQ(coalesced_report.updates_applied,
-              legacy_report.updates_applied);
-    // Flush-lag instrumentation rides the coalesced path only.
-    EXPECT_GT(coalesced_report.flush_lag.count(), 0u);
-    EXPECT_EQ(legacy_report.flush_lag.count(), 0u);
-    EXPECT_TRUE(
-        TablesBitEqual(coalesced_engine->table(), legacy_engine->table()));
+    EXPECT_EQ(sharded_report.audit_violations, 0u);
+    EXPECT_EQ(unsharded_report.audit_violations, 0u);
+    EXPECT_EQ(sharded_report.updates_applied,
+              unsharded_report.updates_applied);
+    EXPECT_GT(sharded_report.flush_lag.count(), 0u);
+    EXPECT_GT(unsharded_report.flush_lag.count(), 0u);
 
     EmbeddingTableConfig tc;
     tc.key_space = config.key_space;
@@ -288,7 +285,52 @@ TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
     auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
                              config.key_space, config.dim);
     RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(coalesced_engine->table(), oracle_table));
+    EXPECT_TRUE(TablesBitEqual(sharded_engine->table(), oracle_table));
+    EXPECT_TRUE(TablesBitEqual(unsharded_engine->table(), oracle_table));
+}
+
+// Each of these values used to hang Run() forever; now each fails fast
+// with a message naming the field.
+EngineConfig
+TinyConfig()
+{
+    EngineConfig config;
+    config.n_gpus = 2;
+    config.dim = 4;
+    config.key_space = 64;
+    config.flush_threads = 2;
+    return config;
+}
+
+void
+RunTiny(const EngineConfig &config)
+{
+    Rng rng(3);
+    ZipfDistribution dist(config.key_space, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 5, config.n_gpus, 4);
+    auto engine = MakeEngine("frugal", config);
+    engine->Run(trace, MakeLinearGradTask());
+}
+
+TEST(EngineDeathTest, ZeroFlushThreadsFailsFast)
+{
+    EngineConfig config = TinyConfig();
+    config.flush_threads = 0;
+    EXPECT_DEATH(RunTiny(config), "EngineConfig::flush_threads");
+}
+
+TEST(EngineDeathTest, ZeroFlushBatchFailsFast)
+{
+    EngineConfig config = TinyConfig();
+    config.flush_batch = 0;
+    EXPECT_DEATH(RunTiny(config), "EngineConfig::flush_batch");
+}
+
+TEST(EngineDeathTest, ZeroLookaheadFailsFast)
+{
+    EngineConfig config = TinyConfig();
+    config.lookahead = 0;
+    EXPECT_DEATH(RunTiny(config), "EngineConfig::lookahead");
 }
 
 TEST(EngineTest, SingleKeyAdversarialBatch)
