@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/distribution.h"
 #include "common/fault_injector.h"
 #include "common/memory_budget.h"
@@ -45,13 +46,6 @@
 
 namespace frugal {
 namespace {
-
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 struct Sizes
 {
@@ -125,28 +119,6 @@ StepsPerSecond(const RunReport &report)
                : 0.0;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -155,20 +127,10 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_chaos.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const auto args = ParseBenchArgs(argc, argv, "BENCH_chaos.json");
+    if (!args)
+        return 2;
+    const bool smoke = args->smoke;
 
     Sizes sizes;
     if (smoke) {
@@ -281,7 +243,7 @@ main(int argc, char **argv)
     metrics.push_back(Metric{
         "chaos_write_retries",
         static_cast<double>(chaos.recovery.write_retries), "count"});
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
 
     bool ok = true;
     if (!healthy_equal || !chaos_equal) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/distribution.h"
 #include "common/rng.h"
 #include "data/trace.h"
@@ -31,13 +32,6 @@
 
 namespace frugal {
 namespace {
-
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
 
 /**
  * Grid workload. Deliberately light on per-step arithmetic (32 keys per
@@ -108,28 +102,6 @@ RunCell(const EngineConfig &config, const Trace &trace,
     return result;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -138,20 +110,10 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_e2e.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const auto args = ParseBenchArgs(argc, argv, "BENCH_e2e.json");
+    if (!args)
+        return 2;
+    const bool smoke = args->smoke;
 
     Sizes sizes;
     if (smoke) {
@@ -216,18 +178,23 @@ main(int argc, char **argv)
             // Replacement-policy observability (DESIGN.md §14): hot-
             // segment share of hits and admission-gate declines make a
             // policy regression visible right in the throughput grid.
+            // Declines are reported per cache miss (each miss offers
+            // one insert), which — unlike the raw count — does not
+            // scale with trace length, so smoke and full runs compare.
             const double hot_share =
                 cell.cache.hits > 0
                     ? static_cast<double>(cell.cache.hot_hits) /
                           static_cast<double>(cell.cache.hits)
                     : 0.0;
+            const double declines_per_miss =
+                cell.cache.misses > 0
+                    ? static_cast<double>(cell.cache.admission_declines) /
+                          static_cast<double>(cell.cache.misses)
+                    : 0.0;
             metrics.push_back(Metric{"e2e_cache_hot_share_" + g + f,
                                      hot_share, "ratio"});
-            metrics.push_back(
-                Metric{"e2e_admission_declines_" + g + f,
-                       static_cast<double>(
-                           cell.cache.admission_declines),
-                       "inserts"});
+            metrics.push_back(Metric{"e2e_admission_declines_" + g + f,
+                                     declines_per_miss, "declines/miss"});
             grid.AddRow({std::to_string(gpus), std::to_string(flushers),
                          FormatDouble(cell.steps_per_s, 1),
                          FormatDouble(cell.cache.HitRatio() * 100, 1) +
@@ -247,7 +214,7 @@ main(int argc, char **argv)
 
     grid.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args->out_path);
     if (!all_bit_equal) {
         std::fprintf(stderr,
                      "bit-equality verification FAILED; numbers above "

@@ -100,8 +100,12 @@ else
 fi
 
 # --- 3. atomics lint ---------------------------------------------------
-note "lint_atomics"
-if ! python3 scripts/lint_atomics.py src tests bench examples; then
+# The analyzer's atomics rules over the code outside src/ (stage 3c
+# covers src/ with every check). `tests/*.cc`, not `tests`, keeps the
+# known-bad tests/analyze/fixtures corpus out of the walk.
+note "atomics lint (tests, bench, examples)"
+if ! python3 scripts/frugal_analyze -q --no-baseline \
+        --checks atomics-relaxed,atomics-raw tests/*.cc bench examples; then
     failures=$((failures + 1))
 fi
 
@@ -221,6 +225,17 @@ fi
 # oracle, stalls, or never reaches kCritical (DESIGN.md §12.4).
 note "bench_chaos smoke (degradation hard gate)"
 if ! ./build/bench/bench_chaos --smoke --out build/BENCH_chaos.json; then
+    failures=$((failures + 1))
+fi
+
+# --- 4d2. repo benchmark self-test --------------------------------------
+# perfbench/selftest.py builds the benchmark (perfbench/, own Release
+# tree under .bench_build/) and runs a tiny instance of every workload:
+# each must pass its oracle gate and emit every metric BENCHMARK.json
+# names, a corrupted table must fail the gate, and a checkout without
+# the benchmark's files must exit non-zero. Hard gate.
+note "perfbench self-test (oracle-gated benchmark, hard gate)"
+if ! python3 perfbench/selftest.py; then
     failures=$((failures + 1))
 fi
 

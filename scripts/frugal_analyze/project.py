@@ -75,8 +75,10 @@ LOCK_RANKS: Dict[str, int] = {
 
 HOT_FUNCTIONS = (
     # FrugalEngine flush data plane (lambdas in frugal_engine.cc):
-    # apply_claims is the one claim-application routine the flushers,
-    # the cooperative trainer flush and the watchdog reclaim share.
+    # claim_batch is the one claim preamble of the flushers and the
+    # cooperative trainer flush; apply_claims is the one
+    # claim-application routine they and the watchdog reclaim share.
+    "claim_batch",
     "apply_claims",
     "flush_entry_run",
     "refresh_cache",
@@ -115,5 +117,5 @@ HOT_FUNCTIONS = (
 
 
 # Directories (src-root-relative) whose raw std::atomic declarations must
-# be model_atomic or carry `modelcheck-exempt:` (mirrors lint_atomics).
+# be model_atomic or carry `modelcheck-exempt:`.
 MODEL_CHECKED_DIRS = ("pq", "common")

@@ -117,6 +117,26 @@ struct GpuCacheStats
     std::uint64_t promotions = 0;  ///< cold→hot on re-reference
     std::uint64_t demotions = 0;   ///< hot→cold on hot-segment overflow
 
+    /** Sums another cache's counters into these (per-GPU → run). */
+    GpuCacheStats &
+    operator+=(const GpuCacheStats &o)
+    {
+        hits += o.hits;
+        misses += o.misses;
+        insertions += o.insertions;
+        evictions += o.evictions;
+        flush_writes += o.flush_writes;
+        warm_inserts += o.warm_inserts;
+        warm_hits += o.warm_hits;
+        dead_evictions += o.dead_evictions;
+        hot_hits += o.hot_hits;
+        cold_hits += o.cold_hits;
+        admission_declines += o.admission_declines;
+        promotions += o.promotions;
+        demotions += o.demotions;
+        return *this;
+    }
+
     double
     HitRatio() const
     {

@@ -198,21 +198,8 @@ RunSync(Engine &engine, const Trace &trace, const GradFn &grad_fn,
     report.wall_seconds = Seconds(run_start, run_end);
     report.stall_seconds_total = commit_seconds_total;
     report.stall_per_step = commit_per_step;
-    if (mode != SyncMode::kNoCache) {
-        for (std::uint32_t g = 0; g < n_gpus; ++g) {
-            const GpuCacheStats s = caches[g]->stats();
-            report.cache.hits += s.hits;
-            report.cache.misses += s.misses;
-            report.cache.insertions += s.insertions;
-            report.cache.evictions += s.evictions;
-            report.cache.flush_writes += s.flush_writes;
-            report.cache.hot_hits += s.hot_hits;
-            report.cache.cold_hits += s.cold_hits;
-            report.cache.admission_declines += s.admission_declines;
-            report.cache.promotions += s.promotions;
-            report.cache.demotions += s.demotions;
-        }
-    }
+    for (const auto &cache : caches)
+        report.cache += cache->stats();
     report.host_reads = host_reads.load();
     report.remote_cache_queries = remote_queries.load();
     report.updates_emitted = updates_applied;

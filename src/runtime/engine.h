@@ -131,9 +131,6 @@ struct EngineConfig
      *  (FrugalEngine only; Exp #4). */
     bool use_tree_heap = false;
 
-    /** Disable scan-range compression (ablation; FrugalEngine only). */
-    bool disable_scan_compression = false;
-
     /**
      * UNSAFE ablation: skip the P²F gate's PQ check, turning training
      * asynchronous — reads may observe parameters with unflushed
@@ -163,33 +160,28 @@ struct EngineConfig
 
     /**
      * Optional armed fault injector (FrugalEngine only); the caller
-     * owns it and keeps it alive across Run. Plans containing
-     * kFlushThreadDeath rules require `watchdog` — only the watchdog
-     * reclaims abandoned claims, so without it the run would hang.
+     * owns it and keeps it alive across Run. Flush-thread deaths are
+     * recovered by the stall watchdog, which always runs alongside the
+     * pipeline.
      */
     FaultInjector *fault_injector = nullptr;
 
-    /** Run the stall watchdog alongside the pipeline (FrugalEngine). */
-    bool watchdog = true;
+    /** Stall watchdog sampling period and no-progress deadline
+     *  (FrugalEngine). */
     int watchdog_poll_ms = 10;
     int watchdog_stall_ms = 2000;
 
-    /** Max attempts for one transiently failing host-table write; the
-     *  flush thread backs off exponentially between attempts. */
-    int write_retry_limit = 12;
-
     /**
-     * Take a consistent checkpoint every N steps (0 = never). The
-     * barrier runs at the step boundary: trainers are held, staging +
-     * PQ + in-flight claims drain, then the table, optimizer state and
-     * trace cursor are snapshotted to `checkpoint_path`.
+     * Take a consistent checkpoint every N global steps (0 = never).
+     * The barrier runs at the step boundary: trainers are held, staging
+     * + PQ + in-flight claims drain, then the table, optimizer state and
+     * trace cursor are snapshotted to `checkpoint_path`. Steps count
+     * from the engine's resume cursor (Engine::ResumeFrom), so a resumed
+     * run keeps the uninterrupted run's cadence and stores global
+     * cursors.
      */
     std::size_t checkpoint_every_steps = 0;
     std::string checkpoint_path;
-
-    /** Global step number of the trace's first step (resumed runs
-     *  replay a suffix; the cursor stored in checkpoints is global). */
-    Step step_offset = 0;
 
     /** Per-GPU cache capacity in rows implied by the ratio. */
     std::size_t
@@ -264,13 +256,17 @@ class Engine
     const HostEmbeddingTable &table() const { return *table_; }
     Optimizer &optimizer() { return *optimizer_; }
 
-    /** Restores initial parameters (and optimizer state) for a rerun. */
+    /** Restores initial parameters (and optimizer state) for a rerun;
+     *  the resume cursor goes back to step 0. */
     void ResetParameters();
 
     /**
      * Restores a mid-training checkpoint (table rows, optimizer state,
      * trace cursor) saved by a checkpoint barrier. Validates that the
      * file's optimizer matches this engine's before touching anything.
+     * On success the engine keeps the cursor: the trace later passed to
+     * Run is the suffix `trace.Slice(cursor, end)`, so its step i is
+     * global step cursor + i for checkpoint cadence and stored cursors.
      * @return the global step the resumed run should execute first, or
      *         nullopt if the checkpoint is missing/corrupt/mismatched
      *         (engine state is untouched).
@@ -282,6 +278,9 @@ class Engine
     std::unique_ptr<HostEmbeddingTable> table_;
     std::unique_ptr<Optimizer> optimizer_;
     KeyOwnership ownership_;
+    /** Global step of the first step of the trace Run executes: the
+     *  cursor of the last successful ResumeFrom, 0 otherwise. */
+    Step resume_step_ = 0;
 };
 
 /** Builds an engine by name: "frugal", "frugal-sync", "cached",

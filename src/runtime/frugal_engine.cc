@@ -63,21 +63,23 @@ struct UpdateBatch
 };
 
 /**
- * Per-trainer hot-loop counters, folded into the shared atomics right
- * before each step-barrier arrival. The trainer loop previously bumped
- * shared atomics per key; with several trainers that is pure cache-line
- * ping-pong. CacheAligned keeps neighbouring trainers' slots off each
- * other's lines.
+ * One trainer's counters, written only by that trainer and summed into
+ * the report once after the joins. Nothing reads them mid-run, so they
+ * need no atomics and no per-step fold; CacheAligned keeps neighbouring
+ * trainers' slots off each other's lines.
  */
 struct TrainerLocalStats
 {
     std::uint64_t host_reads = 0;
-    std::uint64_t updates_emitted = 0;
     std::uint64_t gate_waits = 0;
     /** Pushes that found the bounded staging queue full (backpressure). */
     std::uint64_t throttle_events = 0;
     /** Nanoseconds spent blocked on backpressure. */
     std::uint64_t throttle_wait_ns = 0;
+    /** Gate stall per step, seconds. */
+    StatAccumulator stall;
+    /** Flush lag of the runs this trainer applied cooperatively. */
+    Histogram lag{};
 };
 
 /**
@@ -163,18 +165,11 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                      "frontier could never pass the current step");
 
     FaultInjector *const injector = config_.fault_injector;
-    if (injector != nullptr) {
-        // Flush-thread deaths park claims in the slot ledgers; only the
-        // watchdog reclaims those, so without it the run would hang.
-        FRUGAL_CHECK_MSG(
-            !injector->plan().HasRuleFor(FaultSite::kFlushThreadDeath) ||
-                config_.watchdog,
-            "flush-thread-death fault plans require the watchdog");
-        FRUGAL_CHECK_MSG(
+    FRUGAL_CHECK_MSG(
+        injector == nullptr ||
             !injector->plan().HasRuleFor(FaultSite::kTrainerDeath) ||
-                n_gpus >= 2,
-            "trainer-death fault plans require at least 2 GPUs");
-    }
+            n_gpus >= 2,
+        "trainer-death fault plans require at least 2 GPUs");
 
     // --- run-scoped shared state -------------------------------------
     std::unique_ptr<FlushQueue> queue;
@@ -187,10 +182,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             config_.pq_shards != 0
                 ? config_.pq_shards
                 : std::max<std::size_t>(1, config_.flush_threads);
-        auto two_level = std::make_unique<TwoLevelPQ>(pq_config);
-        if (config_.disable_scan_compression)
-            two_level->setScanCompression(false);
-        queue = std::move(two_level);
+        queue = std::make_unique<TwoLevelPQ>(pq_config);
     }
 
     GEntryRegistry registry(64, config_.key_space);
@@ -255,18 +247,16 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     report.engine = Name();
     report.steps = n_steps;
     report.n_gpus = n_gpus;
-    std::atomic<std::uint64_t> host_reads{0};
+    // Shared because the checkpoint barrier and the watchdog read them
+    // mid-run; per-trainer counters live in TrainerLocalStats.
     std::atomic<std::uint64_t> updates_emitted{0};
     std::atomic<std::uint64_t> updates_applied{0};
     std::atomic<std::uint64_t> entry_claims{0};
     std::atomic<std::uint64_t> audit_violations{0};
-    std::atomic<std::uint64_t> gate_waits{0};
     std::atomic<std::uint64_t> write_retries{0};
     std::atomic<std::uint64_t> flusher_deaths{0};
     std::atomic<std::uint64_t> flusher_respawns{0};
     std::atomic<std::uint64_t> claims_reclaimed{0};
-    std::atomic<std::uint64_t> throttle_events{0};
-    std::atomic<std::uint64_t> throttle_wait_ns{0};
     // Staging payload bytes currently queued (trainers add on push, the
     // drainer subtracts on pop); feeds the kQueue pressure gauge.
     std::atomic<std::size_t> staging_bytes{0};
@@ -286,6 +276,55 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     std::uint64_t checkpoint_retry_count = 0;
     double checkpoint_pause_seconds = 0.0;
     double checkpoint_save_seconds = 0.0;
+
+    // The lookahead window: steps in [now, window_end(now)) may have
+    // their reads prepared (R sets registered, rows warmed, rows kept by
+    // next-use eviction) while step `now` trains.
+    auto window_end = [&](Step now) -> Step {
+        // relaxed: degradation knob; any recent value is acceptable.
+        return now + static_cast<Step>(
+                         effective_lookahead.load(std::memory_order_relaxed));
+    };
+
+    std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
+    for (std::size_t f = 0; f < config_.flush_threads; ++f)
+        flusher_slots.push_back(std::make_unique<FlusherSlot>(f));
+    // The one flusher-slot scan (watchdog snapshot, diagnosis, pipeline
+    // drained predicate): visit(index, dead, busy, ledger size). It
+    // reads atomics and the leaf-ranked slot locks only — never a lock
+    // of rank >= kGEntry, which a wedged flush thread may hold. `dead`
+    // is read first: a dying flusher trims its ledger before setting
+    // it, so a dead slot's ledger is exactly its abandoned claims.
+    auto scan_flushers = [&](auto &&visit) {
+        for (const auto &slot : flusher_slots) {
+            const bool dead = slot->dead.load(std::memory_order_acquire);
+            const bool busy = slot->busy.load(std::memory_order_acquire);
+            std::size_t ledger = 0;
+            {
+                SpinGuard guard(slot->lock);
+                ledger = slot->claimed.size();
+            }
+            visit(slot->index, dead, busy, ledger);
+        }
+    };
+    // True once everything trainers emitted through step `through` has
+    // left staging, the PQ and every flusher and is applied to the
+    // host table. Asked only while emission is frozen: trainers are
+    // parked in the step barrier (checkpoint) or joined (wind-down).
+    auto pipeline_drained = [&](Step through) {
+        if (drained_steps.load(std::memory_order_acquire) < through ||
+            staging.size() != 0 || queue->SizeApprox() != 0)
+            return false;
+        bool quiet = true;
+        scan_flushers([&](std::size_t, bool dead, bool busy,
+                          std::size_t ledger) {
+            quiet = quiet && !dead && !busy && ledger == 0;
+        });
+        // relaxed: emitted is frozen (see above); acquire on applied
+        // makes every committed row and optimizer write visible.
+        return quiet && updates_applied.load(std::memory_order_acquire) >=
+                            updates_emitted.load(std::memory_order_relaxed);
+    };
 
 #if FRUGAL_DCHECK_ENABLED
     // The invariant auditor (§3.3 safety argument, machine-checked).
@@ -316,28 +355,19 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // empties, the drainer registers step s's writes, flushers
             // apply them all), then the host table + optimizer state IS
             // the model as of the end of step s.
+            // The cadence and the stored cursor count global steps,
+            // so a resumed run checkpoints where the uninterrupted one
+            // would have.
+            const Step next_global = resume_step_ + s + 1;
             if (config_.checkpoint_every_steps > 0 &&
                 !config_.checkpoint_path.empty() &&
-                static_cast<std::size_t>(s + 1) %
+                static_cast<std::size_t>(next_global) %
                         config_.checkpoint_every_steps ==
                     0) {
                 const auto pause_start = std::chrono::steady_clock::now();
-                auto quiescent = [&] {
-                    return drained_steps.load(std::memory_order_acquire) >=
-                               s + 1 &&
-                           staging.size() == 0 &&
-                           queue->SizeApprox() == 0 &&
-                           // relaxed: trainers are parked in this
-                           // barrier, so emitted is frozen; only
-                           // applied needs to synchronize.
-                           updates_applied.load(
-                               std::memory_order_acquire) >=
-                               updates_emitted.load(
-                                   std::memory_order_relaxed);
-                };
                 {
                     std::unique_lock<std::mutex> lock(gate_mutex);
-                    while (!quiescent()) {
+                    while (!pipeline_drained(s + 1)) {
                         gate_cv.wait_for(lock,
                                          std::chrono::milliseconds(1));
                     }
@@ -346,7 +376,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 CheckpointExtras extras;
                 extras.optimizer_name = optimizer_->Name();
                 extras.optimizer_state = optimizer_->ExportState();
-                extras.next_step = config_.step_offset + s + 1;
+                extras.next_step = next_global;
                 // Unified retry policy (common/retry.h): transient
                 // checkpoint failures (injected I/O errors, torn
                 // writes) get a few backed-off attempts before the
@@ -448,21 +478,32 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             if (oracular) {
                 for (const Key key : next_use.DeadAfter(s))
                     caches[ownership_.OwnerOf(key)]->EvictIfDead(key);
-                const Step horizon =
-                    s + 1 +
-                    // relaxed: degradation knob; any recent value is
-                    // acceptable for a scan-policy boundary.
-                    static_cast<Step>(effective_lookahead.load(
-                        std::memory_order_relaxed));
+                const Step horizon = window_end(s + 1);
                 for (auto &cache : caches)
                     cache->SetEvictionHorizon(horizon);
             }
             current_step.store(s + 1, std::memory_order_release);
-            { std::lock_guard<std::mutex> lock(gate_mutex); }
-            gate_cv.notify_all();
+            nudge_gate();
         });
 
     const auto run_start = std::chrono::steady_clock::now();
+
+    /**
+     * Pays the simulated UVA gather latency (EngineConfig::
+     * host_gather_ns) of `rows` host rows into the caller's `debt_ns`,
+     * sleeping once the debt reaches the quantum. Sleeping — not
+     * spinning — lets the prefetcher's warm gathers yield to trainers
+     * on an oversubscribed host, the DMA-latency hiding they model.
+     */
+    auto pay_gather = [&](std::uint64_t &debt_ns, std::size_t rows) {
+        debt_ns += rows * static_cast<std::uint64_t>(
+                              std::max(0, config_.host_gather_ns));
+        if (debt_ns >= kGatherSleepQuantumNs) {
+            // retry-exempt: simulated PCIe latency, not a retry backoff.
+            std::this_thread::sleep_for(std::chrono::nanoseconds(debt_ns));
+            debt_ns = 0;
+        }
+    };
 
     // --- prefetch thread (the sample queue, §3.2) ---------------------
     std::thread prefetcher([&] {
@@ -477,10 +518,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // two-phase, so a racing flush always wins). Runs strictly
         // *after* the frontier advance + gate nudge of its step: warming
         // is opportunistic and must never delay the gate.
-        // Simulated-PCIe debt for warm gathers (see EngineConfig::
-        // host_gather_ns): paid as sleeps, so on an oversubscribed host
-        // the prefetcher yields instead of stealing trainer cycles —
-        // the DMA-latency-hiding the warm path exists to model.
         std::uint64_t gather_debt_ns = 0;
         auto warm_step = [&](Step target) {
             for (std::uint32_t g = 0; g < n_gpus; ++g) {
@@ -504,21 +541,14 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 }
                 if (warm_keys.empty())
                     continue;
+                std::size_t gathered = 0;
                 caches[dst]->WarmBatch(
                     warm_keys.data(), warm_hints.data(), warm_keys.size(),
                     [&](const Key *fill, std::size_t m, float *rows) {
                         table_->ReadRows(fill, m, rows);
-                        gather_debt_ns +=
-                            m * static_cast<std::uint64_t>(
-                                    std::max(0, config_.host_gather_ns));
+                        gathered += m;
                     });
-                if (gather_debt_ns >= kGatherSleepQuantumNs) {
-                    // retry-exempt: simulated PCIe latency, not a retry
-                    // backoff.
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(gather_debt_ns));
-                    gather_debt_ns = 0;
-                }
+                pay_gather(gather_debt_ns, gathered);
             }
         };
         // Wake hysteresis: parking per advanced step costs one futex
@@ -538,21 +568,15 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             {
                 std::unique_lock<std::mutex> lock(gate_mutex);
                 auto can_prefetch = [&] {
-                    // relaxed: degradation knob; any recent value is
-                    // acceptable.
-                    const Step eff =
-                        static_cast<Step>(effective_lookahead.load(
-                            std::memory_order_relaxed));
-                    const Step limit = std::min<Step>(
-                        n_steps,
-                        current_step.load(std::memory_order_acquire) +
-                            eff);
-                    if (frontier >= limit)
+                    const Step now =
+                        current_step.load(std::memory_order_acquire);
+                    const Step end = window_end(now);
+                    if (frontier >= std::min<Step>(n_steps, end))
                         return false;
                     // The final (partial) burst must not wait for
                     // headroom the run will never produce.
-                    const Step burst = std::max<Step>(1, eff / 2);
-                    return frontier + burst <= limit || limit >= n_steps;
+                    const Step burst = std::max<Step>(1, (end - now) / 2);
+                    return end >= n_steps || frontier + burst <= end;
                 };
                 // Timed re-check: recovery paths can lose a wakeup; the
                 // deadline bounds any missed notify to one period.
@@ -561,15 +585,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                          can_prefetch)) {
                 }
             }
-            while (frontier < n_steps) {
-                const Step limit = std::min<Step>(
-                    n_steps,
-                    current_step.load(std::memory_order_acquire) +
-                        // relaxed: degradation knob (see above).
-                        static_cast<Step>(effective_lookahead.load(
-                            std::memory_order_relaxed)));
-                if (frontier >= limit)
-                    break;
+            while (frontier < n_steps &&
+                   frontier < window_end(current_step.load(
+                                  std::memory_order_acquire))) {
                 for (std::uint32_t g = 0; g < n_gpus; ++g) {
                     // Batched get-or-create: one registry shard-lock
                     // take per same-shard key run instead of one per
@@ -724,9 +742,11 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // (common/retry.h): bounded exponential backoff, 2 µs doubling
         // to a 1 ms cap — the same envelope the old hand-rolled loop
         // used. This runs under the g-entry lock, so a retry storm
-        // delays only this parameter's flush.
+        // delays only this parameter's flush. After kWriteRetryLimit
+        // retries the failure is treated as permanent.
+        constexpr int kWriteRetryLimit = 12;
         RetryPolicy policy;
-        policy.max_attempts = config_.write_retry_limit + 1;
+        policy.max_attempts = kWriteRetryLimit + 1;
         policy.initial_backoff = std::chrono::microseconds(2);
         policy.max_backoff = std::chrono::microseconds(1000);
         const RetryOutcome outcome = RetryWithBackoff(
@@ -768,12 +788,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             const Step now =
                 current_step.load(std::memory_order_acquire);
             const Step reuse = next_use.NextUseAfter(key, now);
-            const Step window =
-                now +
-                // relaxed: degradation knob; any recent value works.
-                static_cast<Step>(effective_lookahead.load(
-                    std::memory_order_relaxed));
-            if (reuse != NextUseIndex::kNever && reuse <= window) {
+            if (reuse != NextUseIndex::kNever && reuse <= window_end(now)) {
                 caches[owner]->WarmOne(key, row.data(), reuse);
                 return;
             }
@@ -891,9 +906,45 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         return finished;
     };
 
-    std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
-    for (std::size_t f = 0; f < config_.flush_threads; ++f)
-        flusher_slots.push_back(std::make_unique<FlusherSlot>(f));
+    /**
+     * The one claim preamble, shared by the flush threads and the
+     * gate-blocked trainers: bound the PQ scan, claim up to the
+     * coalescing width of entries (preferring dequeue shard `shard`;
+     * only priorities <= `ceiling` unless it is kInfiniteStep), hand the
+     * batch to the auditor in priority order and count it.
+     * @return the number of tickets claimed into `claims`.
+     */
+    auto claim_batch = [&](std::vector<ClaimTicket> &claims,
+                           std::size_t shard, Step ceiling) -> std::size_t {
+        // The scan floor relies on the gate's invariant that nothing
+        // below the current step is pending; without the gate (async
+        // ablation) stale priorities survive below it, so the floor
+        // must stay at zero.
+        const Step floor = config_.disable_gate_unsafe
+                               ? 0
+                               : current_step.load(std::memory_order_acquire);
+        queue->SetScanBounds(
+            floor, prefetch_frontier.load(std::memory_order_acquire));
+        claims.clear();
+        // relaxed: degradation knob (coalescing width).
+        const std::size_t width =
+            effective_flush_batch.load(std::memory_order_relaxed);
+        const std::size_t n =
+            ceiling == kInfiniteStep
+                ? queue->DequeueClaim(claims, width, shard)
+                : queue->DequeueClaimBelow(claims, width, shard, ceiling);
+        if (n == 0)
+            return 0;
+#if FRUGAL_DCHECK_ENABLED
+        if (auditor_armed)
+            // alloc-ok: DCHECK-only auditor; it allocates only to format
+            // a violation message.
+            auditor.OnClaimBatch(claims, floor);
+#endif
+        // relaxed: monotonic stat counter, read after joins.
+        entry_claims.fetch_add(n, std::memory_order_relaxed);
+        return n;
+    };
 
     // The flusher body is a named function so the watchdog can respawn
     // a dead slot with the identical loop.
@@ -953,25 +1004,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                           std::chrono::microseconds(4000));
                     continue;
                 }
-                // The scan floor relies on the gate's invariant that
-                // nothing below the current step is pending; without the
-                // gate (async ablation) stale priorities survive below
-                // it, so the floor must stay at zero.
-                const Step scan_floor =
-                    config_.disable_gate_unsafe
-                        ? 0
-                        : current_step.load(std::memory_order_acquire);
-                queue->SetScanBounds(
-                    scan_floor,
-                    prefetch_frontier.load(std::memory_order_acquire));
-                claimed.clear();
                 slot->busy.store(true, std::memory_order_release);
-                if (queue->DequeueClaim(claimed,
-                                        // relaxed: degradation knob
-                                        // (coalescing width).
-                                        effective_flush_batch.load(
-                                            std::memory_order_relaxed),
-                                        slot->index) == 0) {
+                if (claim_batch(claimed, slot->index, kInfiniteStep) == 0) {
                     // Entries exist but are momentarily unclaimable
                     // (mid-publish or taken by a peer). Two-stage
                     // backoff: yield while the pipeline is merely
@@ -994,13 +1028,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 }
                 empty_claims = 0;
                 idle_sleep = std::chrono::microseconds{500};
-#if FRUGAL_DCHECK_ENABLED
-                if (auditor_armed)
-                    auditor.OnClaimBatch(claimed, scan_floor);
-#endif
-                // relaxed: monotonic stat counter, read after joins.
-                entry_claims.fetch_add(claimed.size(),
-                                       std::memory_order_relaxed);
                 // Publish the batch to the claim ledger *before*
                 // flushing: from here on, death leaves a trail the
                 // watchdog can reclaim.
@@ -1024,135 +1051,118 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     for (auto &slot : flusher_slots)
         slot->thread = std::thread(flusher_body, slot.get());
 
-    // --- watchdog ------------------------------------------------------
-    std::unique_ptr<Watchdog> watchdog;
-    if (config_.watchdog) {
-        Watchdog::Config wd_config;
-        wd_config.poll = std::chrono::milliseconds(
-            std::max(1, config_.watchdog_poll_ms));
-        wd_config.stall_deadline = std::chrono::milliseconds(
-            std::max(config_.watchdog_poll_ms, config_.watchdog_stall_ms));
-        // Sampling reads atomics and leaf-ranked slot ledgers only —
-        // never a lock of rank ≥ kGEntry (a wedged flush thread may
-        // hold those; the diagnoser must not join it in the wedge).
-        auto snapshot = [&]() {
-            ProgressSnapshot snap;
-            snap.current_step =
-                current_step.load(std::memory_order_acquire);
-            snap.drained_steps =
-                drained_steps.load(std::memory_order_acquire);
-            snap.prefetch_frontier =
-                prefetch_frontier.load(std::memory_order_acquire);
-            // relaxed: diagnostic snapshot; the two counters may be
-            // mutually skewed, which Classify tolerates.
-            snap.updates_emitted =
-                updates_emitted.load(std::memory_order_relaxed);
-            // relaxed: diagnostic snapshot (see above).
-            snap.updates_applied =
-                updates_applied.load(std::memory_order_relaxed);
-            snap.staging_size = staging.size();
-            snap.pq_size = queue->SizeApprox();
-            for (const auto &slot : flusher_slots) {
-                if (slot->dead.load(std::memory_order_acquire)) {
-                    ++snap.dead_flushers;
-                    SpinGuard guard(slot->lock);
-                    snap.abandoned_claims += slot->claimed.size();
-                }
+    // --- watchdog (always on; it alone recovers dead flushers) ------
+    Watchdog::Config wd_config;
+    wd_config.poll = std::chrono::milliseconds(
+        std::max(1, config_.watchdog_poll_ms));
+    wd_config.stall_deadline = std::chrono::milliseconds(
+        std::max(config_.watchdog_poll_ms, config_.watchdog_stall_ms));
+    auto snapshot = [&]() {
+        ProgressSnapshot snap;
+        snap.current_step =
+            current_step.load(std::memory_order_acquire);
+        snap.drained_steps =
+            drained_steps.load(std::memory_order_acquire);
+        snap.prefetch_frontier =
+            prefetch_frontier.load(std::memory_order_acquire);
+        // relaxed: diagnostic snapshot; the two counters may be
+        // mutually skewed, which Classify tolerates.
+        snap.updates_emitted =
+            updates_emitted.load(std::memory_order_relaxed);
+        // relaxed: diagnostic snapshot (see above).
+        snap.updates_applied =
+            updates_applied.load(std::memory_order_relaxed);
+        snap.staging_size = staging.size();
+        snap.pq_size = queue->SizeApprox();
+        scan_flushers([&](std::size_t, bool dead, bool, std::size_t ledger) {
+            if (dead) {
+                ++snap.dead_flushers;
+                snap.abandoned_claims += ledger;
             }
-            snap.run_complete =
-                run_complete.load(std::memory_order_acquire);
-            return snap;
-        };
-        auto recover = [&](StallKind kind) -> bool {
-            if (kind == StallKind::kEmptyQueueIdle ||
-                kind == StallKind::kUnknown) {
-                // Cheap, safe, idempotent: re-deliver a possibly lost
-                // gate wakeup. Not counted as a recovery — if the nudge
-                // fixes it, progress resumes and the stall clears.
-                nudge_gate();
-                return false;
+        });
+        snap.run_complete =
+            run_complete.load(std::memory_order_acquire);
+        return snap;
+    };
+    auto recover = [&](StallKind kind) -> bool {
+        if (kind == StallKind::kEmptyQueueIdle ||
+            kind == StallKind::kUnknown) {
+            // Cheap, safe, idempotent: re-deliver a possibly lost
+            // gate wakeup. Not counted as a recovery — if the nudge
+            // fixes it, progress resumes and the stall clears.
+            nudge_gate();
+            return false;
+        }
+        if (kind != StallKind::kDeadFlusher)
+            return false;
+        bool acted = false;
+        for (auto &slot : flusher_slots) {
+            if (!slot->dead.load(std::memory_order_acquire))
+                continue;
+            // The thread has already returned (it set `dead` on its
+            // way out); join reaps it so the slot can be reused.
+            if (slot->thread.joinable())
+                slot->thread.join();
+            std::vector<ClaimTicket> abandoned;
+            {
+                SpinGuard guard(slot->lock);
+                abandoned.swap(slot->claimed);
             }
-            if (kind != StallKind::kDeadFlusher)
-                return false;
-            bool acted = false;
-            for (auto &slot : flusher_slots) {
-                if (!slot->dead.load(std::memory_order_acquire))
-                    continue;
-                // The thread has already returned (it set `dead` on its
-                // way out); join reaps it so the slot can be reused.
-                if (slot->thread.joinable())
-                    slot->thread.join();
-                std::vector<ClaimTicket> abandoned;
-                {
-                    SpinGuard guard(slot->lock);
-                    abandoned.swap(slot->claimed);
-                }
-                // Reclaim the abandoned tickets: apply their entries'
-                // pending writes and retire the in-flight counts. If a
-                // live flusher already took the writes through the
-                // zombie re-enqueue path, the W set is empty and the
-                // ticket is just retired — both outcomes keep the
-                // per-key canonical order, because W records only ever
-                // leave an entry through a sorted take.
-                LagSampler unsampled;
-                apply_claims(abandoned, unsampled,
-                             [](std::size_t) { return true; });
-                // relaxed: monotonic stat counter, reporting only.
-                claims_reclaimed.fetch_add(abandoned.size(),
-                                           std::memory_order_relaxed);
-                slot->dead.store(false, std::memory_order_release);
-                slot->thread = std::thread(flusher_body, slot.get());
-                // relaxed: monotonic stat counter, reporting only.
-                flusher_respawns.fetch_add(1, std::memory_order_relaxed);
-                FRUGAL_WARN("watchdog: respawned flush thread "
-                            << slot->index << " after reclaiming "
-                            << abandoned.size() << " claim(s)");
-                acted = true;
-            }
-            if (acted)
-                nudge_gate();
-            return acted;
-        };
-        auto diagnose = [&]() -> std::string {
-            std::ostringstream out;
-            out << queue->DebugDump();
-            out << "staging " << staging.size() << "/"
-                << config_.staging_capacity
-                << " batch(es), drained through step "
-                << drained_steps.load(std::memory_order_acquire)
-                << ", prefetch frontier "
-                << prefetch_frontier.load(std::memory_order_acquire)
-                << "\n";
-            for (const auto &slot : flusher_slots) {
-                std::size_t ledger = 0;
-                {
-                    SpinGuard guard(slot->lock);
-                    ledger = slot->claimed.size();
-                }
-                out << "flusher " << slot->index << ": "
-                    << (slot->dead.load(std::memory_order_acquire)
-                            ? "DEAD"
-                            : "alive")
-                    << (slot->busy.load(std::memory_order_acquire)
-                            ? " busy"
-                            : " idle")
-                    << ", " << ledger << " claim(s) in ledger\n";
-            }
-            if (config_.memory_budget != nullptr) {
-                out << "memory pressure stage "
-                    << PressureStageName(config_.memory_budget->stage())
-                    << ", tracked "
-                    << config_.memory_budget->TotalBytes() << " of "
-                    << config_.memory_budget->budget_bytes()
-                    << " budget bytes\n";
-            }
-            return out.str();
-        };
-        watchdog = std::make_unique<Watchdog>(
-            wd_config, std::move(snapshot), std::move(recover),
-            std::move(diagnose));
-        watchdog->Start();
-    }
+            // Reclaim the abandoned tickets: apply their entries'
+            // pending writes and retire the in-flight counts. If a
+            // live flusher already took the writes through the
+            // zombie re-enqueue path, the W set is empty and the
+            // ticket is just retired — both outcomes keep the
+            // per-key canonical order, because W records only ever
+            // leave an entry through a sorted take.
+            LagSampler unsampled;
+            apply_claims(abandoned, unsampled,
+                         [](std::size_t) { return true; });
+            // relaxed: monotonic stat counter, reporting only.
+            claims_reclaimed.fetch_add(abandoned.size(),
+                                       std::memory_order_relaxed);
+            slot->dead.store(false, std::memory_order_release);
+            slot->thread = std::thread(flusher_body, slot.get());
+            // relaxed: monotonic stat counter, reporting only.
+            flusher_respawns.fetch_add(1, std::memory_order_relaxed);
+            FRUGAL_WARN("watchdog: respawned flush thread "
+                        << slot->index << " after reclaiming "
+                        << abandoned.size() << " claim(s)");
+            acted = true;
+        }
+        if (acted)
+            nudge_gate();
+        return acted;
+    };
+    auto diagnose = [&]() -> std::string {
+        std::ostringstream out;
+        out << queue->DebugDump();
+        out << "staging " << staging.size() << "/"
+            << config_.staging_capacity
+            << " batch(es), drained through step "
+            << drained_steps.load(std::memory_order_acquire)
+            << ", prefetch frontier "
+            << prefetch_frontier.load(std::memory_order_acquire)
+            << "\n";
+        scan_flushers([&](std::size_t index, bool dead, bool busy,
+                          std::size_t ledger) {
+            out << "flusher " << index << ": " << (dead ? "DEAD" : "alive")
+                << (busy ? " busy" : " idle") << ", " << ledger
+                << " claim(s) in ledger\n";
+        });
+        if (config_.memory_budget != nullptr) {
+            out << "memory pressure stage "
+                << PressureStageName(config_.memory_budget->stage())
+                << ", tracked "
+                << config_.memory_budget->TotalBytes() << " of "
+                << config_.memory_budget->budget_bytes()
+                << " budget bytes\n";
+        }
+        return out.str();
+    };
+    Watchdog watchdog(wd_config, std::move(snapshot), std::move(recover),
+                      std::move(diagnose));
+    watchdog.Start();
 
     // --- memory-pressure monitor (DESIGN.md §12.2) ---------------------
     MemoryBudget *const budget = config_.memory_budget;
@@ -1259,15 +1269,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
 
     // --- trainer threads ----------------------------------------------
     std::vector<std::thread> trainers;
-    std::vector<double> stall_seconds(n_gpus, 0.0);
-    std::vector<StatAccumulator> stall_stats(n_gpus);
-    // Per-trainer counter slots, one cache line each; folded into the
-    // shared atomics once per step (before the barrier) instead of one
-    // shared fetch_add per key.
     std::vector<CacheAligned<TrainerLocalStats>> local_stats(n_gpus);
-    // Per-trainer flush-lag histograms: cooperative-flush applies land
-    // here (flusher slots hold their own); merged after the joins.
-    std::vector<CacheAligned<Histogram>> trainer_lag(n_gpus);
     for (std::uint32_t g = 0; g < n_gpus; ++g) {
         trainers.emplace_back([&, t = static_cast<GpuId>(g)] {
             const std::size_t dim = config_.dim;
@@ -1277,14 +1279,12 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             std::vector<float *> miss_outs;
             std::vector<std::size_t> owned_miss;
             std::vector<Step> owned_hint;
+            TrainerLocalStats &local = *local_stats[t];
             // Claim buffer for cooperative flushing at the gate, plus
             // the same lag sampling the flushers use.
             std::vector<ClaimTicket> assist;
-            LagSampler lag{&*trainer_lag[t]};
-            // Simulated-PCIe debt for demand gathers, amortized into
-            // sleep quanta (EngineConfig::host_gather_ns).
+            LagSampler lag{&local.lag};
             std::uint64_t gather_debt_ns = 0;
-            TrainerLocalStats &local = *local_stats[t];
             for (Step s = 0; s < n_steps; ++s) {
                 if (trainer_dead[t].load(std::memory_order_acquire)) {
                     // Injected death: leave the barrier for good. The
@@ -1320,22 +1320,11 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     constexpr std::size_t kAssistYields = 32;
                     std::size_t idle_passes = 0;
                     while (!gate_open()) {
-                        const Step floor =
-                            current_step.load(std::memory_order_acquire);
-                        queue->SetScanBounds(
-                            floor,
-                            prefetch_frontier.load(std::memory_order_acquire));
-                        assist.clear();
                         // Bounded claim: only the entries blocking *this*
                         // gate (priority <= s). Later-step and deferred
                         // entries stay enqueued so their writes keep
                         // coalescing for the flush threads.
-                        if (queue->DequeueClaimBelow(
-                                assist,
-                                // relaxed: degradation knob.
-                                effective_flush_batch.load(
-                                    std::memory_order_relaxed),
-                                t, s) == 0) {
+                        if (claim_batch(assist, t, s) == 0) {
                             // Nothing claimable: the gate waits on the
                             // prefetcher/drainer, or the work is in flight
                             // on a flusher. Yield first — on a machine with
@@ -1357,22 +1346,13 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                             continue;
                         }
                         idle_passes = 0;
-#if FRUGAL_DCHECK_ENABLED
-                        if (auditor_armed)
-                            auditor.OnClaimBatch(assist, floor);
-#endif
-                        // relaxed: monotonic stat counter.
-                        entry_claims.fetch_add(assist.size(),
-                                               std::memory_order_relaxed);
                         apply_claims(assist, lag,
                                      [](std::size_t) { return true; });
                         nudge_gate();
                     }
                 }
-                const auto wait_end = std::chrono::steady_clock::now();
-                const double stall = Seconds(wait_start, wait_end);
-                stall_seconds[t] += stall;
-                stall_stats[t].Add(stall);
+                local.stall.Add(
+                    Seconds(wait_start, std::chrono::steady_clock::now()));
 
                 // Execute every trace GPU assigned to this thread —
                 // just its own while healthy, plus a dead trainer's
@@ -1450,18 +1430,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                          miss_keys.size(),
                                          miss_outs.data());
                         local.host_reads += miss_keys.size();
-                        gather_debt_ns +=
-                            miss_keys.size() *
-                            static_cast<std::uint64_t>(
-                                std::max(0, config_.host_gather_ns));
-                        if (gather_debt_ns >= kGatherSleepQuantumNs) {
-                            // retry-exempt: simulated PCIe latency,
-                            // not a retry backoff.
-                            std::this_thread::sleep_for(
-                                std::chrono::nanoseconds(
-                                    gather_debt_ns));
-                            gather_debt_ns = 0;
-                        }
+                        pay_gather(gather_debt_ns, miss_keys.size());
                         for (std::size_t j = 0; j < owned_miss.size();
                              ++j) {
                             const std::size_t m = owned_miss[j];
@@ -1516,30 +1485,12 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     // skew against the drainer's decrements.
                     staging_bytes.fetch_add(batch_bytes,
                                             std::memory_order_relaxed);
-                    local.updates_emitted += keys.size();
+                    // Counted before the barrier arrival, which orders it
+                    // against the checkpoint barrier's drained check.
+                    // relaxed: the arrival is the synchronization.
+                    updates_emitted.fetch_add(keys.size(),
+                                              std::memory_order_relaxed);
                 }
-
-                // Fold the step's local counters into the shared totals
-                // *before* arriving: the checkpoint barrier's quiescence
-                // check (in the barrier completion) compares applied
-                // against emitted and must see this step's emissions.
-                // relaxed: barrier arrival orders these against the
-                // completion callback's reads.
-                host_reads.fetch_add(local.host_reads,
-                                     std::memory_order_relaxed);
-                // relaxed: see above.
-                updates_emitted.fetch_add(local.updates_emitted,
-                                          std::memory_order_relaxed);
-                // relaxed: see above.
-                gate_waits.fetch_add(local.gate_waits,
-                                     std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_events.fetch_add(local.throttle_events,
-                                          std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_wait_ns.fetch_add(local.throttle_wait_ns,
-                                           std::memory_order_relaxed);
-                local = TrainerLocalStats{};
 
                 step_barrier.arrive_and_wait();
             }
@@ -1559,42 +1510,17 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     prefetcher.join();
     run_complete.store(true, std::memory_order_release);
 
-    if (watchdog != nullptr) {
-        // Recovery-aware wind-down: a flusher may die on the very last
-        // batch, after drain_done. Wait until every slot is quiet and
-        // all updates are applied — the watchdog keeps respawning dead
-        // slots and reclaiming their claims meanwhile.
-        while (true) {
-            bool clean = drain_done.load(std::memory_order_acquire) &&
-                         queue->SizeApprox() == 0;
-            if (clean) {
-                for (const auto &slot : flusher_slots) {
-                    if (slot->dead.load(std::memory_order_acquire) ||
-                        slot->busy.load(std::memory_order_acquire)) {
-                        clean = false;
-                        break;
-                    }
-                    SpinGuard guard(slot->lock);
-                    if (!slot->claimed.empty()) {
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            // relaxed: trainers are already joined, emitted is final;
-            // acquire on applied makes the flushed writes visible.
-            if (clean &&
-                updates_applied.load(std::memory_order_acquire) >=
-                    updates_emitted.load(std::memory_order_relaxed)) {
-                break;
-            }
-            // retry-exempt: wind-down poll, not a retry backoff.
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        // Stop before joining the slots so recovery can't touch a slot
-        // thread concurrently with the join below.
-        watchdog->Stop();
+    // Recovery-aware wind-down: a flusher may die on the very last
+    // batch, after the drainer finished. Wait until the whole pipeline
+    // is drained — the watchdog keeps respawning dead slots and
+    // reclaiming their claims meanwhile.
+    while (!pipeline_drained(n_steps)) {
+        // retry-exempt: wind-down poll, not a retry backoff.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    // Stop before joining the slots so recovery can't touch a slot
+    // thread concurrently with the join below.
+    watchdog.Stop();
     for (auto &slot : flusher_slots) {
         if (slot->thread.joinable())
             slot->thread.join();
@@ -1607,43 +1533,35 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
 
     // --- report --------------------------------------------------------
     report.wall_seconds = Seconds(run_start, run_end);
-    for (std::uint32_t g = 0; g < n_gpus; ++g) {
-        const GpuCacheStats s = caches[g]->stats();
-        report.cache.hits += s.hits;
-        report.cache.misses += s.misses;
-        report.cache.insertions += s.insertions;
-        report.cache.evictions += s.evictions;
-        report.cache.flush_writes += s.flush_writes;
-        report.cache.warm_inserts += s.warm_inserts;
-        report.cache.warm_hits += s.warm_hits;
-        report.cache.dead_evictions += s.dead_evictions;
-        report.cache.hot_hits += s.hot_hits;
-        report.cache.cold_hits += s.cold_hits;
-        report.cache.admission_declines += s.admission_declines;
-        report.cache.promotions += s.promotions;
-        report.cache.demotions += s.demotions;
-        report.prefetch.rows_warmed += s.warm_inserts;
-        report.prefetch.warm_hits += s.warm_hits;
-        report.prefetch.dead_evictions += s.dead_evictions;
-    }
+    for (const auto &cache : caches)
+        report.cache += cache->stats();
+    report.prefetch.rows_warmed = report.cache.warm_inserts;
+    report.prefetch.warm_hits = report.cache.warm_hits;
+    report.prefetch.dead_evictions = report.cache.dead_evictions;
     report.prefetch.late_warms = late_warm_count.load();
     report.prefetch.warms_shed = warms_shed_count.load();
     // Safe to read without the slot locks: every flusher thread is
     // joined above, which happens-after its last histogram write.
     for (const auto &slot : flusher_slots)
         report.flush_lag.Merge(slot->lag);
-    for (const auto &lag : trainer_lag)
-        report.flush_lag.Merge(*lag);
-    report.stall_per_step = stall_stats[0];
-    for (double s : stall_seconds)
-        report.stall_seconds_total += s;
+    // Likewise every trainer is joined: its slot is final.
+    std::uint64_t throttle_wait_ns = 0;
+    for (const auto &local : local_stats) {
+        report.flush_lag.Merge(local->lag);
+        report.stall_seconds_total += local->stall.sum();
+        report.host_reads += local->host_reads;
+        report.gate_waits += local->gate_waits;
+        report.overload.throttle_events += local->throttle_events;
+        throttle_wait_ns += local->throttle_wait_ns;
+    }
+    report.overload.throttle_wait_seconds =
+        static_cast<double>(throttle_wait_ns) * 1e-9;
+    report.stall_per_step = local_stats[0]->stall;
     report.stall_seconds_total /= n_gpus;
-    report.host_reads = host_reads.load();
     report.updates_emitted = updates_emitted.load();
     report.updates_applied = updates_applied.load();
     report.flush_entry_claims = entry_claims.load();
     report.audit_violations = audit_violations.load();
-    report.gate_waits = gate_waits.load();
     report.recovery.faults_injected =
         injector != nullptr ? injector->total_fires() : 0;
     report.recovery.write_retries = write_retries.load();
@@ -1656,11 +1574,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     report.recovery.checkpoint_retries = checkpoint_retry_count;
     report.recovery.checkpoint_pause_seconds = checkpoint_pause_seconds;
     report.recovery.checkpoint_save_seconds = checkpoint_save_seconds;
-    if (watchdog != nullptr)
-        watchdog->Harvest(&report.recovery);
-    report.overload.throttle_events = throttle_events.load();
-    report.overload.throttle_wait_seconds =
-        static_cast<double>(throttle_wait_ns.load()) * 1e-9;
+    watchdog.Harvest(&report.recovery);
     report.overload.cache_rows_shed = cache_rows_shed.load();
     if (budget != nullptr) {
         report.overload.pressure_transitions = budget->transitions();

@@ -23,10 +23,12 @@ Seven suites:
 5. Incremental-cache invalidation: mutating a header re-extracts every
    file whose quoted-include closure contains it, not just the header.
 6. `--format=sarif` emits valid SARIF 2.1.0 with one result per finding.
-7. The scripts/lint_atomics.py shim: fires on the bad fixtures, stays
-   quiet on the clean tree, and keeps its CLI exit semantics.
+7. check.sh's atomics gate (the analyzer's atomics-relaxed and
+   atomics-raw checks over tests, bench and examples): fires on the bad
+   fixtures, stays quiet on the clean tree, exit codes 1 / 0.
 """
 
+import glob
 import json
 import os
 import re
@@ -366,30 +368,35 @@ def test_lock_ranks_in_sync():
           "no enumerator missing from either side")
 
 
-def test_lint_atomics_shim():
-    print("== lint_atomics shim ==")
-    shim = os.path.join(SCRIPTS, "lint_atomics.py")
-    bad_pq = os.path.join(FIXTURES, "bad", "src", "pq")
-    # Directory walks deliberately skip the fixture corpus (check.sh
-    # lints `tests`); explicit file arguments bypass the skip.
+def test_atomics_gate():
+    """check.sh's atomics gate over tests, bench and examples (src/ is
+    covered by the full analyzer run): the analyzer's atomics-relaxed
+    and atomics-raw checks against an empty baseline."""
+    print("== atomics gate (check.sh stage 3) ==")
+    gate = [sys.executable, os.path.join(SCRIPTS, "frugal_analyze"), "-q",
+            "--no-baseline", "--checks", "atomics-relaxed,atomics-raw"]
+    bad_src = os.path.join(FIXTURES, "bad", "src")
     bad = subprocess.run(
-        [sys.executable, shim,
-         os.path.join(bad_pq, "unjustified_relaxed.cc"),
-         os.path.join(bad_pq, "raw_atomic.h")],
+        gate + ["--src-root", bad_src,
+                os.path.join(bad_src, "pq", "unjustified_relaxed.cc"),
+                os.path.join(bad_src, "pq", "raw_atomic.h")],
         capture_output=True, text=True)
     check(bad.returncode == 1, "bad fixture files: exit 1")
-    check("[relaxed]" in bad.stderr and "[raw-atomic]" in bad.stderr,
-          "bad fixture files: both legacy rule names fire")
-    skipped = subprocess.run(
-        [sys.executable, shim, os.path.join(FIXTURES, "bad")],
-        capture_output=True, text=True)
-    check(skipped.returncode == 0,
-          "fixture corpus skipped on directory walks")
+    check("atomics-relaxed" in bad.stdout and "atomics-raw" in bad.stdout,
+          "bad fixture files: both atomics checks fire")
+    clean_src = os.path.join(FIXTURES, "clean", "src")
     clean = subprocess.run(
-        [sys.executable, shim,
-         os.path.join(FIXTURES, "clean", "src", "pq", "all_clean.cc")],
+        gate + ["--src-root", clean_src,
+                os.path.join(clean_src, "pq", "all_clean.cc")],
         capture_output=True, text=True)
     check(clean.returncode == 0, "clean fixture file: exit 0")
+    # The exact check.sh invocation: `tests/*.cc` (not `tests`) keeps the
+    # known-bad fixture corpus out of the walk.
+    tests_cc = sorted(glob.glob(os.path.join(REPO, "tests", "*.cc")))
+    tree = subprocess.run(gate + tests_cc + ["bench", "examples"],
+                          cwd=REPO, capture_output=True, text=True)
+    check(tree.returncode == 0,
+          f"tests/*.cc bench examples: exit 0 {tree.stdout[-400:]}")
 
 
 def test_cli_surface():
@@ -416,7 +423,7 @@ def main():
     test_lock_ranks_in_sync()
     test_cache_invalidation()
     test_sarif_output()
-    test_lint_atomics_shim()
+    test_atomics_gate()
     test_cli_surface()
     if failures:
         print(f"\n{len(failures)} analyze subtest(s) FAILED")

@@ -432,6 +432,54 @@ TEST_F(CheckpointTest, MidTrainingCheckpointResumeBitEqual)
               oracle.optimizer().ExportState());
 }
 
+TEST_F(CheckpointTest, DoubleResumeKeepsGlobalCursorAndCadence)
+{
+    // Crash twice: a resumed run with barriers armed must count its
+    // steps from the resume cursor — both for the barrier cadence and
+    // for the cursor it stores — or the second resume replays the wrong
+    // suffix.
+    EngineConfig config;
+    config.n_gpus = 2;
+    config.dim = 8;
+    config.key_space = 64;
+    config.flush_threads = 2;
+    config.optimizer = "adagrad";
+    Rng rng(13);
+    ZipfDistribution dist(64, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 48, 2, 8);
+    const GradFn task = MakeLinearGradTask();
+
+    FrugalEngine oracle(config);
+    oracle.Run(trace, task);
+
+    EngineConfig ckpt_config = config;
+    ckpt_config.checkpoint_every_steps = 16;
+    ckpt_config.checkpoint_path = path_;
+
+    // First life: steps [0, 20), barrier after global step 16.
+    FrugalEngine first(ckpt_config);
+    first.Run(trace.Slice(0, 20), task);
+
+    // Second life: resume at 16, run [16, 36), barrier after global 32.
+    FrugalEngine second(ckpt_config);
+    const auto cursor1 = second.ResumeFrom(path_);
+    ASSERT_TRUE(cursor1.has_value());
+    EXPECT_EQ(*cursor1, 16u);
+    const RunReport report = second.Run(trace.Slice(*cursor1, 36), task);
+    EXPECT_EQ(report.recovery.checkpoint_barriers, 1u);
+
+    // Third life: resume at 32 and finish the trace.
+    FrugalEngine third(config);
+    const auto cursor2 = third.ResumeFrom(path_);
+    ASSERT_TRUE(cursor2.has_value());
+    EXPECT_EQ(*cursor2, 32u);
+    third.Run(trace.Slice(*cursor2, trace.NumSteps()), task);
+
+    EXPECT_TRUE(TablesBitEqual(third.table(), oracle.table()));
+    EXPECT_EQ(third.optimizer().ExportState(),
+              oracle.optimizer().ExportState());
+}
+
 TEST_F(CheckpointTest, ResumeFromRejectsOptimizerMismatch)
 {
     EngineConfig config;
